@@ -22,9 +22,12 @@ test:
 # The race detector complements hydralint's static shard-exclusivity check:
 # the linter proves no locks/goroutines exist on the hot path, the race
 # detector proves the remaining sharing (mailbox words, guardian words,
-# conns snapshots) is correctly synchronized.
+# conns snapshots) is correctly synchronized. The benchmark module is its
+# own Go module, so `./...` misses it; its smoke run drives two clients over
+# one shared pointer cache, which is where a cache race shows.
 race:
 	$(GO) test -race ./...
+	cd ycsbbench && $(GO) test -race ./...
 
 # Static invariants (clock discipline, shard exclusivity, atomic-word
 # hygiene, hot-path allocations, error discipline, lease/escape dataflow,

@@ -50,6 +50,46 @@ func TestAllocBudgetOneSidedGet(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetOneSidedGetShared: with default options the pointer cache
+// is the machine-wide lock-free map, whose byte-key lookup must keep a warm
+// one-sided GET at zero allocations.
+func TestAllocBudgetOneSidedGetShared(t *testing.T) {
+	opts := hydradb.DefaultOptions()
+	opts.ShardsPerMachine = 1
+	opts.ArenaBytesPerShard = 16 << 20
+	opts.MaxItemsPerShard = 1 << 16
+	if !opts.SharedPointerCache {
+		t.Fatal("default options no longer share the pointer cache")
+	}
+	db, err := hydradb.Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c := db.NewClient()
+	key := []byte("budgetkey8bytes!")
+	if err := c.Put(key, make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := c.GetInto(key, nil) // warm: sizes the read scratch and value buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		var gerr error
+		buf, gerr = c.GetInto(key, buf[:0])
+		if gerr != nil || len(buf) != 32 {
+			t.Fatalf("get: len=%d err=%v", len(buf), gerr)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("shared-cache one-sided GET allocates %.1f/op, budget is 0", allocs)
+	}
+	if snap := c.Counters().Snapshot(); snap.RDMAReadHits < 150 {
+		t.Fatalf("only %d one-sided hits; path not exercised", snap.RDMAReadHits)
+	}
+}
+
 // TestAllocBudgetPipelinedGet: a steady-state MultiGet batch on the message
 // path amortizes to ≤1 alloc per GET.
 func TestAllocBudgetPipelinedGet(t *testing.T) {

@@ -177,7 +177,7 @@ func Start(opts Options) (*DB, error) {
 	db := &DB{opts: opts, cluster: cl, clock: clk}
 	if opts.SharedPointerCache {
 		for i := 0; i < opts.ClientMachines; i++ {
-			db.caches = append(db.caches, client.NewSharedCache(1<<14))
+			db.caches = append(db.caches, client.NewSharedCache())
 		}
 	}
 	return db, nil

@@ -35,11 +35,24 @@ var (
 	ErrMaybeApplied = errors.New("hydradb: write may or may not have been applied")
 )
 
-// PtrEntry is a cached remote pointer plus its lease (§4.2.2).
+// PtrEntry is a cached remote pointer plus its lease (§4.2.2). Clients
+// sharing the cache read and extend one entry concurrently.
 type PtrEntry struct {
 	Ptr      kv.RemotePtr
-	LeaseExp int64
+	LeaseExp atomic.Int64  // lease expiry as last seen; only raised, by extendLease
 	Access   atomic.Uint32 // client-side popularity for renewal decisions
+}
+
+// extendLease raises the entry's lease view to exp. The view never moves
+// backwards, so a client holding an older lease answer cannot shorten a
+// lease another client sharing the entry has already seen extended.
+func (e *PtrEntry) extendLease(exp int64) {
+	for {
+		cur := e.LeaseExp.Load()
+		if exp <= cur || e.LeaseExp.CompareAndSwap(cur, exp) {
+			return
+		}
+	}
 }
 
 // PtrCache abstracts the pointer cache: a private per-client cache or the
@@ -52,9 +65,10 @@ type PtrCache interface {
 	Len() int
 }
 
-// NewSharedCache builds the machine-wide lock-free cache.
-func NewSharedCache(buckets int) PtrCache {
-	return sharedCache{m: lfmap.New[PtrEntry](buckets)}
+// NewSharedCache builds the machine-wide lock-free cache; it grows with its
+// population.
+func NewSharedCache() PtrCache {
+	return sharedCache{m: lfmap.New[PtrEntry]()}
 }
 
 type sharedCache struct{ m *lfmap.Map[PtrEntry] }
@@ -429,24 +443,33 @@ func (c *Client) refreshTable() {
 	})
 }
 
-// cachePointer installs/overwrites the pointer for key.
-func (c *Client) cachePointer(key string, ptr kv.RemotePtr, leaseExp int64) {
+// cachePointer installs/overwrites the pointer for key. The shared cache
+// copies the key only when it is new to the cache.
+func (c *Client) cachePointer(key []byte, ptr kv.RemotePtr, leaseExp int64) {
 	if ptr.Zero() {
 		return
 	}
-	e := &PtrEntry{Ptr: ptr, LeaseExp: leaseExp}
+	e := &PtrEntry{Ptr: ptr}
+	e.LeaseExp.Store(leaseExp)
 	e.Access.Store(1)
-	c.cache.Put(key, e)
+	if s, ok := c.cache.(sharedCache); ok {
+		s.m.PutBytes(key, e)
+		return
+	}
+	c.cache.Put(string(key), e)
 }
 
 // cacheGet looks up key's pointer without materializing a string: on the
 // private cache the map index expression string-interns the byte key for
-// free, so the steady-state GET path stays allocation-free. The shared
-// lock-free cache needs a real string.
+// free, and the shared cache has byte-key lookups, so the steady-state GET
+// path stays allocation-free.
 func (c *Client) cacheGet(key []byte) (*PtrEntry, bool) {
-	if p, ok := c.cache.(*privateCache); ok {
-		e, ok := p.m[string(key)]
+	switch cc := c.cache.(type) {
+	case *privateCache:
+		e, ok := cc.m[string(key)]
 		return e, ok
+	case sharedCache:
+		return cc.m.GetBytes(key)
 	}
 	return c.cache.Get(string(key))
 }
@@ -454,10 +477,14 @@ func (c *Client) cacheGet(key []byte) (*PtrEntry, bool) {
 // cacheDrop removes key's pointer if it still maps to old (byte-key twin of
 // CompareAndDelete, same interning trick as cacheGet).
 func (c *Client) cacheDrop(key []byte, old *PtrEntry) {
-	if p, ok := c.cache.(*privateCache); ok {
-		if cur, ok := p.m[string(key)]; ok && cur == old {
-			delete(p.m, string(key))
+	switch cc := c.cache.(type) {
+	case *privateCache:
+		if cur, ok := cc.m[string(key)]; ok && cur == old {
+			delete(cc.m, string(key))
 		}
+		return
+	case sharedCache:
+		cc.m.CompareAndDeleteBytes(key, old)
 		return
 	}
 	c.cache.CompareAndDelete(string(key), old)
@@ -511,7 +538,7 @@ func (c *Client) getViaMessage(key, dst []byte) ([]byte, error) {
 	switch resp.Status {
 	case message.StatusOK:
 		if c.opts.UseRDMARead {
-			c.cachePointer(string(key), resp.Ptr, resp.LeaseExp)
+			c.cachePointer(key, resp.Ptr, resp.LeaseExp)
 		}
 		return out, nil
 	case message.StatusNotFound:
@@ -533,7 +560,7 @@ func (c *Client) readViaPointer(key []byte, e *PtrEntry) ([]byte, bool, error) {
 // hydralint:hotpath
 func (c *Client) readViaPointerInto(key []byte, e *PtrEntry, dst []byte) ([]byte, bool, error) {
 	now := c.clock.Now()
-	if !lease.ValidForRead(e.LeaseExp, now, c.opts.ReadMarginNs) {
+	if !lease.ValidForRead(e.LeaseExp.Load(), now, c.opts.ReadMarginNs) {
 		return dst, false, nil
 	}
 	ep, ok := c.table.Endpoints[e.Ptr.ShardID]
@@ -556,9 +583,7 @@ func (c *Client) readViaPointerInto(key []byte, e *PtrEntry, dst []byte) ([]byte
 		return dst, false, nil
 	}
 	// Refresh the lease view fetched with the item.
-	if exp := int64(c.wordBuf[1]); exp > e.LeaseExp {
-		e.LeaseExp = exp
-	}
+	e.extendLease(int64(c.wordBuf[1]))
 	dst = append(dst, gotVal...)
 	return dst, true, nil
 }
@@ -583,7 +608,7 @@ func (c *Client) Put(key, val []byte) error {
 		return ErrRemote
 	}
 	if c.opts.UseRDMARead {
-		c.cachePointer(string(key), resp.Ptr, resp.LeaseExp)
+		c.cachePointer(key, resp.Ptr, resp.LeaseExp)
 	}
 	return nil
 }
@@ -624,7 +649,7 @@ func (c *Client) Renew(key []byte) error {
 	}
 	c.ctr.LeaseRenewals.Inc()
 	if e, ok := c.cacheGet(key); ok {
-		e.LeaseExp = resp.LeaseExp
+		e.extendLease(resp.LeaseExp)
 	}
 	return nil
 }
@@ -636,7 +661,7 @@ func (c *Client) RenewPopular(minAccess uint32, windowNs int64) int {
 	now := c.clock.Now()
 	keys := c.renewKeys[:0]
 	c.cache.Range(func(key string, e *PtrEntry) bool {
-		if e.Access.Load() >= minAccess && e.LeaseExp-now < windowNs {
+		if e.Access.Load() >= minAccess && e.LeaseExp.Load()-now < windowNs {
 			keys = append(keys, key)
 		}
 		return true

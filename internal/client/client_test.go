@@ -197,7 +197,7 @@ func TestLeaseExpiryForcesMessagePath(t *testing.T) {
 
 func TestSharedCacheAcrossClients(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(256)
+	shared := NewSharedCache()
 	a := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 	b := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 
@@ -219,6 +219,57 @@ func TestSharedCacheAcrossClients(t *testing.T) {
 	}
 	if a.Counters().Snapshot().RDMAReadStale != 0 {
 		t.Fatal("shared cache failed to prevent the stale cascade")
+	}
+}
+
+// TestSharedCacheLeaseRace: two clients on one shared cache read the same
+// keys one-sided, which refreshes an entry's lease view from the fetched
+// lease word, and renew them, which raises it from the response, at the
+// same time. Under -race this pins the lease view as an atomic word; an
+// entry's view must also never move backwards.
+func TestSharedCacheLeaseRace(t *testing.T) {
+	env := newLiveEnv(t, false)
+	shared := NewSharedCache()
+	keys := make([][]byte, 8)
+	loader := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("lease%02d", i))
+		testutil.Must(loader.Put(keys[i], []byte("v")))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		c := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
+		wg.Add(1)
+		go func(w int, c *Client) {
+			defer wg.Done()
+			seen := map[*PtrEntry]int64{}
+			for i := 0; i < 300; i++ {
+				k := keys[(i+w)%len(keys)]
+				if i%10 == w {
+					env.clk.Advance(1e6) // renewals now extend the lease
+				}
+				if v, err := c.Get(k); err != nil || string(v) != "v" {
+					t.Errorf("get %s: %q %v", k, v, err)
+					return
+				}
+				if err := c.Renew(k); err != nil {
+					t.Errorf("renew %s: %v", k, err)
+					return
+				}
+				if e, ok := shared.Get(string(k)); ok {
+					exp := e.LeaseExp.Load()
+					if exp < seen[e] {
+						t.Errorf("%s: lease view moved backwards: %d after %d", k, exp, seen[e])
+						return
+					}
+					seen[e] = exp
+				}
+			}
+		}(w, c)
+	}
+	wg.Wait()
+	if hits := shared.Len(); hits != len(keys) {
+		t.Fatalf("shared cache holds %d keys, want %d", hits, len(keys))
 	}
 }
 
@@ -284,15 +335,15 @@ func TestRenewLease(t *testing.T) {
 	if !ok {
 		t.Fatal("no cached pointer")
 	}
-	before := e.LeaseExp
+	before := e.LeaseExp.Load()
 	env.clk.Advance(1500e6) // move close to expiry
 	n := c.RenewPopular(2, 64e9)
 	if n != 1 {
 		t.Fatalf("renewed %d keys, want 1", n)
 	}
 	e2, _ := c.Cache().Get("k")
-	if e2.LeaseExp <= before {
-		t.Fatalf("lease not extended: %d <= %d", e2.LeaseExp, before)
+	if e2.LeaseExp.Load() <= before {
+		t.Fatalf("lease not extended: %d <= %d", e2.LeaseExp.Load(), before)
 	}
 	// Renewal of a deleted key fails and evicts the pointer.
 	testutil.Must(c.Delete([]byte("k")))
@@ -339,7 +390,7 @@ func TestManyKeysAndValues(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(1024)
+	shared := NewSharedCache()
 	const workers = 4
 	const iters = 300
 	var wg sync.WaitGroup

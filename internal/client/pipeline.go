@@ -351,7 +351,7 @@ func (c *Client) completeOne(pc *pipeConn, op *Op, i int, resp *message.Response
 		switch resp.Status {
 		case message.StatusOK:
 			if c.opts.UseRDMARead {
-				c.cachePointer(string(op.Key), resp.Ptr, resp.LeaseExp)
+				c.cachePointer(op.Key, resp.Ptr, resp.LeaseExp)
 			}
 			base := len(p.vals)
 			p.vals = append(p.vals, resp.Val...)
@@ -370,7 +370,7 @@ func (c *Client) completeOne(pc *pipeConn, op *Op, i int, resp *message.Response
 		}
 		r.Existed = resp.Existed
 		if c.opts.UseRDMARead {
-			c.cachePointer(string(op.Key), resp.Ptr, resp.LeaseExp)
+			c.cachePointer(op.Key, resp.Ptr, resp.LeaseExp)
 		}
 	case message.OpDelete:
 		c.ctr.Deletes.Inc()

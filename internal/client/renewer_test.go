@@ -9,7 +9,7 @@ import (
 
 func TestRenewerScanOnce(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(64)
+	shared := NewSharedCache()
 	worker := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 	renewClient := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 
@@ -21,7 +21,7 @@ func TestRenewerScanOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("no cached pointer")
 	}
-	before := e.LeaseExp
+	before := e.LeaseExp.Load()
 
 	// Move close to expiry, then renew through the agent.
 	env.clk.Advance(1500e6)
@@ -30,7 +30,7 @@ func TestRenewerScanOnce(t *testing.T) {
 		t.Fatalf("renewed %d keys, want 1", n)
 	}
 	e2, _ := shared.Get("hot")
-	if e2.LeaseExp <= before {
+	if e2.LeaseExp.Load() <= before {
 		t.Fatal("lease not extended through the shared cache")
 	}
 	if r.TotalRenewed() != 1 {
@@ -47,7 +47,7 @@ func TestRenewerScanOnce(t *testing.T) {
 
 func TestRenewerBackgroundLoop(t *testing.T) {
 	env := newLiveEnv(t, false)
-	shared := NewSharedCache(64)
+	shared := NewSharedCache()
 	worker := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 	agentClient := env.newClient(t, Options{UseRDMARead: true, Cache: shared})
 

@@ -3,11 +3,14 @@ package lfmap
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"hydradb/internal/hashx"
 )
 
 func TestBasicOps(t *testing.T) {
-	m := New[int](16)
+	m := New[int]()
 	if _, ok := m.Get("a"); ok {
 		t.Fatal("get on empty map")
 	}
@@ -41,7 +44,7 @@ func TestBasicOps(t *testing.T) {
 }
 
 func TestReviveTombstone(t *testing.T) {
-	m := New[string](4)
+	m := New[string]()
 	s1 := "one"
 	m.Put("k", &s1)
 	m.Delete("k")
@@ -57,7 +60,7 @@ func TestReviveTombstone(t *testing.T) {
 }
 
 func TestCompareAndDelete(t *testing.T) {
-	m := New[int](4)
+	m := New[int]()
 	v1, v2 := 1, 2
 	m.Put("k", &v1)
 	if m.CompareAndDelete("k", &v2) {
@@ -74,8 +77,43 @@ func TestCompareAndDelete(t *testing.T) {
 	}
 }
 
-func TestRangeAndSweep(t *testing.T) {
-	m := New[int](8)
+// TestByteKeys: the byte-key methods address the same entries as the string
+// ones, and a lookup, an overwrite and an invalidation of a known key
+// allocate nothing.
+func TestByteKeys(t *testing.T) {
+	m := New[int]()
+	v1, v2 := 1, 2
+	key := []byte("user000000000042")
+	m.PutBytes(key, &v1)
+	if got, ok := m.Get(string(key)); !ok || got != &v1 {
+		t.Fatalf("string Get after PutBytes: %v %v", got, ok)
+	}
+	m.Put(string(key), &v2)
+	if got, ok := m.GetBytes(key); !ok || got != &v2 {
+		t.Fatalf("GetBytes after Put: %v %v", got, ok)
+	}
+	if m.CompareAndDeleteBytes(key, &v1) || !m.CompareAndDeleteBytes(key, &v2) {
+		t.Fatal("CompareAndDeleteBytes ignored its old value")
+	}
+	if _, ok := m.GetBytes(key); ok || m.Len() != 0 {
+		t.Fatalf("entry survived CompareAndDeleteBytes (len %d)", m.Len())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.PutBytes(key, &v1)
+		if _, ok := m.GetBytes(key); !ok {
+			t.Fatal("GetBytes missed")
+		}
+		m.CompareAndDeleteBytes(key, &v1)
+	})
+	if allocs != 0 {
+		t.Fatalf("byte-key ops on a known key allocate %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRange: Range visits each live entry once, skips deleted ones, and
+// stops early when fn returns false.
+func TestRange(t *testing.T) {
+	m := New[int]()
 	vals := make([]int, 20)
 	for i := range vals {
 		vals[i] = i
@@ -85,25 +123,16 @@ func TestRangeAndSweep(t *testing.T) {
 		m.Delete(fmt.Sprintf("k%02d", i))
 	}
 	seen := 0
-	m.Range(func(k string, v *int) bool { seen++; return true })
-	if seen != 10 {
-		t.Fatalf("range saw %d live entries, want 10", seen)
-	}
-	if removed := m.Sweep(); removed != 10 {
-		t.Fatalf("sweep removed %d, want 10", removed)
-	}
-	seen = 0
 	m.Range(func(k string, v *int) bool {
 		seen++
 		if *v < 10 {
-			t.Fatalf("swept entry %s still visible", k)
+			t.Fatalf("deleted entry %s visible", k)
 		}
 		return true
 	})
 	if seen != 10 {
-		t.Fatalf("after sweep range saw %d", seen)
+		t.Fatalf("range saw %d live entries, want 10", seen)
 	}
-	// Early stop.
 	n := 0
 	m.Range(func(string, *int) bool { n++; return false })
 	if n != 1 {
@@ -111,26 +140,38 @@ func TestRangeAndSweep(t *testing.T) {
 	}
 }
 
-func TestChainCollisions(t *testing.T) {
-	// One bucket: every key collides; the chain must still disambiguate.
-	m := New[int](1)
-	vals := make([]int, 100)
-	for i := range vals {
-		vals[i] = i
-		m.Put(fmt.Sprintf("key%03d", i), &vals[i])
-	}
-	for i := range vals {
-		got, ok := m.Get(fmt.Sprintf("key%03d", i))
-		if !ok || *got != i {
-			t.Fatalf("key%03d: %v %v", i, got, ok)
+// TestProbeCollisions: keys whose hashes share their low 12 bits start at
+// the same slot in every table up to 4096 slots, so each forms one long
+// probe run; lookups must still tell them apart across the doublings.
+func TestProbeCollisions(t *testing.T) {
+	m := New[int]()
+	var keys []string
+	for i := 0; len(keys) < 100; i++ {
+		k := fmt.Sprintf("key%06d", i)
+		if hashx.HashString(k)&0xfff == 0x123 {
+			keys = append(keys, k)
 		}
+	}
+	vals := make([]int, len(keys))
+	for i, k := range keys {
+		vals[i] = i
+		m.Put(k, &vals[i])
+	}
+	for i, k := range keys {
+		got, ok := m.Get(k)
+		if !ok || *got != i {
+			t.Fatalf("%s: %v %v", k, got, ok)
+		}
+	}
+	if m.Len() != len(keys) {
+		t.Fatalf("len = %d, want %d", m.Len(), len(keys))
 	}
 }
 
 // TestConcurrentMixed hammers the map from many goroutines. Run with -race
 // this validates the lock-free paths.
 func TestConcurrentMixed(t *testing.T) {
-	m := New[int64](64)
+	m := New[int64]()
 	const (
 		workers = 8
 		keys    = 32
@@ -172,8 +213,8 @@ func TestConcurrentMixed(t *testing.T) {
 }
 
 func TestConcurrentInsertDistinctKeys(t *testing.T) {
-	// All inserts must survive races on the same bucket chain.
-	m := New[int](1)
+	// All inserts must survive racing each other through several doublings.
+	m := New[int]()
 	const workers = 8
 	const perWorker = 200
 	var wg sync.WaitGroup
@@ -201,24 +242,209 @@ func TestConcurrentInsertDistinctKeys(t *testing.T) {
 	}
 }
 
-func BenchmarkGetHit(b *testing.B) {
-	m := New[int](1 << 12)
-	const n = 1 << 10
-	vals := make([]int, n)
-	keys := make([]string, n)
+// TestConcurrentGrowth runs four writers inserting overlapping keys through
+// eight doublings of the table while readers check that every key whose Put
+// had returned before the read began is found, and a churner deletes and
+// revives its own keys. At quiescence Len counts the live keys and Range
+// yields each exactly once.
+func TestConcurrentGrowth(t *testing.T) {
+	const (
+		writers = 4
+		readers = 2
+		nKeys   = minSlots << 6 // with the churn keys: minSlots << 8 slots
+		nChurn  = 64
+	)
+	m := New[int]()
+	keys := make([]string, nKeys)
+	vals := make([]int, nKeys)
+	done := make([]atomic.Bool, nKeys)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("user%08d", i)
+		keys[i] = fmt.Sprintf("user%012d", i)
 		vals[i] = i
-		m.Put(keys[i], &vals[i])
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Get(keys[i&(n-1)])
+	churnKeys := make([]string, nChurn)
+	churnVals := make([]int, nChurn)
+	for i := range churnKeys {
+		churnKeys[i] = fmt.Sprintf("churn%011d", i)
+		churnVals[i] = -i
+		m.Put(churnKeys[i], &churnVals[i])
+	}
+
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			// Each writer walks every key from its own offset, so every key
+			// is inserted by one writer and overwritten by the others.
+			for j := 0; j < nKeys; j++ {
+				k := (j + w*nKeys/writers) % nKeys
+				m.Put(keys[k], &vals[k])
+				done[k].Store(true)
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var others sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		others.Add(1)
+		go func(r int) {
+			defer others.Done()
+			for i := r; ; i += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := i % nKeys
+				wasDone := done[k].Load()
+				v, ok := m.Get(keys[k])
+				if wasDone && (!ok || *v != k) {
+					t.Errorf("key %d: Put returned before the read, Get = %v %v", k, v, ok)
+					return
+				}
+			}
+		}(r)
+	}
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := i % nChurn
+			m.Put(churnKeys[k], &churnVals[k])
+			if !m.CompareAndDelete(churnKeys[k], &churnVals[k]) {
+				t.Errorf("churn key %d: CompareAndDelete of its own value failed", k)
+				return
+			}
+			m.Put(churnKeys[k], &churnVals[k]) // revive
+		}
+	}()
+	writing.Wait()
+	close(stop)
+	others.Wait()
+
+	if m.Len() != nKeys+nChurn {
+		t.Fatalf("Len = %d, want %d", m.Len(), nKeys+nChurn)
+	}
+	seen := make(map[string]int, nKeys+nChurn)
+	m.Range(func(k string, _ *int) bool { seen[k]++; return true })
+	for _, k := range append(append([]string(nil), keys...), churnKeys...) {
+		if seen[k] != 1 {
+			t.Fatalf("Range yielded %s %d times", k, seen[k])
+		}
+	}
+	if len(seen) != nKeys+nChurn {
+		t.Fatalf("Range yielded %d keys, want %d", len(seen), nKeys+nChurn)
+	}
+	if n := len(m.head.Load().slots); n < minSlots<<6 {
+		t.Fatalf("table has %d slots after %d inserts: fewer than six doublings", n, nKeys)
+	}
+}
+
+// TestInsertRacesMigration replays the one interleaving migration must get
+// right: an inserter passes the capacity check and is about to CAS an empty
+// slot when another insert starts the migration, which passes that slot and
+// retires the table. The migrator's nil→moved CAS makes the inserter's CAS
+// fail, so the insert continues in the successor. The seeded bug — a
+// migrator that skips empty slots without closing them — lets the CAS land
+// in the retired table, losing the insert; the test must catch it.
+func TestInsertRacesMigration(t *testing.T) {
+	healthy := func(m *Map[int], old *table[int]) {
+		for m.head.Load() == old {
+			m.help()
+		}
+	}
+	skipsEmpty := func(m *Map[int], old *table[int]) {
+		n := old.next.Load()
+		for i := range old.slots {
+			if e := old.slots[i].Load(); e != nil && e != m.moved {
+				place(m, n, e.hash, e.key, e, nil)
+			}
+		}
+		m.head.CompareAndSwap(old, n)
+	}
+	for _, tc := range []struct {
+		name     string
+		migrate  func(m *Map[int], old *table[int])
+		wantLost bool
+	}{
+		{"closes-empty-slots", healthy, false},
+		{"seeded-bug-skips-empty-slots", skipsEmpty, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New[int]()
+			vals := make([]int, minSlots/2+1)
+			for i := 0; i < minSlots/2-1; i++ {
+				vals[i] = i
+				m.Put(fmt.Sprintf("fill%02d", i), &vals[i])
+			}
+			old := m.head.Load()
+			raceHook = func() {
+				raceHook = nil
+				// The racer holds the last reservation below half load, so
+				// this insert installs the successor; then migrate.
+				m.Put("trigger", &vals[minSlots/2])
+				if old.next.Load() == nil {
+					t.Fatal("trigger insert did not start a migration")
+				}
+				tc.migrate(m, old)
+			}
+			defer func() { raceHook = nil }()
+			racer := 7
+			m.Put("racer", &racer)
+			if m.head.Load() == old {
+				t.Fatal("old table not retired")
+			}
+			_, found := m.Get("racer")
+			if lost := !found; lost != tc.wantLost {
+				t.Fatalf("racer lost = %v, want %v", lost, tc.wantLost)
+			}
+			if tc.wantLost {
+				return
+			}
+			if m.Len() != minSlots/2+1 {
+				t.Fatalf("Len = %d, want %d", m.Len(), minSlots/2+1)
+			}
+			n := 0
+			m.Range(func(string, *int) bool { n++; return true })
+			if n != minSlots/2+1 {
+				t.Fatalf("Range yielded %d entries, want %d", n, minSlots/2+1)
+			}
+		})
+	}
+}
+
+var sinkOK bool
+
+// BenchmarkGetHit times a hit at 1k, 100k and 500k entries: the last is
+// ycsb-c-uniform-500k's population, where the benchmark's lfmap.get_ns layer
+// metric is measured.
+func BenchmarkGetHit(b *testing.B) {
+	for _, n := range []int{1_000, 100_000, 500_000} {
+		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
+			m := New[int]()
+			vals := make([]int, n)
+			keys := make([]string, n)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("user%012d", i) // 16 B, the workloads' key size
+				vals[i] = i
+				m.Put(keys[i], &vals[i])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, sinkOK = m.Get(keys[i%n])
+			}
+		})
 	}
 }
 
 func BenchmarkPutOverwrite(b *testing.B) {
-	m := New[int](1 << 10)
+	m := New[int]()
 	v := 7
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

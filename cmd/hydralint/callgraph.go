@@ -27,9 +27,6 @@ type Program struct {
 	// findings, built once and shared by the four spec-* checks (each
 	// check emits only its own category).
 	specModel *specModel
-	// fps is the memoized Footprint-literal parse (model-conformance
-	// reports its errors; spec-drift reads the declarations).
-	fps *fpParse
 }
 
 // FuncInfo is one source-loaded function or method declaration.

@@ -85,12 +85,6 @@ var allChecks = []Check{
 		RunProgram: runRegionBounds,
 	},
 	{
-		Name:       "model-conformance",
-		Desc:       "the atomic words and SchedPoint tags of covered packages must match the modelcheck Footprint declarations (whole-program)",
-		Short:      "hydramc footprints match the real atomic surface",
-		RunProgram: runModelConformance,
-	},
-	{
 		Name:       "spec-order",
 		Desc:       "the happens-before edges declared in protocolspec.Spec literals — payload-before-release, retract-before-free, apply-after-replicate — hold on every code path (spec-driven flow pass)",
 		Short:      "declared protocol edges hold on every code path",
@@ -98,14 +92,14 @@ var allChecks = []Check{
 	},
 	{
 		Name:       "spec-coverage",
-		Desc:       "every atomic store to a word declared in a protocolspec.Spec must be sanctioned by a Writers entry, a covering edge, or a publish/unpublish constant (whole-program)",
-		Short:      "every store to a spec'd word is sanctioned by its spec",
+		Desc:       "every atomic store to a word declared in a protocolspec.Spec must be sanctioned by a Writers entry, a covering edge, or a publish/unpublish constant, and every atomic word and SchedPoint tag in a model-covered package must be declared by a covering spec (whole-program)",
+		Short:      "every spec'd store is sanctioned; covered packages' atomic surface is declared",
 		RunProgram: runSpecCoverage,
 	},
 	{
 		Name:       "spec-drift",
-		Desc:       "protocolspec.Spec declarations must name only atomic words, functions, marker constants, and hydramc footprints that still exist (whole-program)",
-		Short:      "specs name only words, functions, and models that exist",
+		Desc:       "protocolspec.Spec declarations must name only atomic words, SchedPoint tags, functions, and marker constants that still exist (whole-program)",
+		Short:      "specs name only words, tags, and functions that exist",
 		RunProgram: runSpecDrift,
 	},
 	{

@@ -1286,46 +1286,133 @@ func (l *Log) Commit(seq uint64) {
 `,
 	},
 
-	// --- model-conformance -------------------------------------------------
+	// A package a model-feeding spec lists is covered: its atomic words and
+	// SchedPoint tags must all be declared by a covering spec. The stub
+	// stands in for invariant.SchedPoint; clean by construction.
 	{
-		name:  "conformance-stale-declaration",
-		path:  "internal/modelcheck/mc.go",
-		check: "model-conformance",
-		want:  1,
-		src: `package modelcheck
+		name:  "spec-schedpoint-stub",
+		path:  "internal/invariant/sched.go",
+		check: "spec-coverage",
+		want:  0,
+		src: `package invariant
 
-type Footprint struct {
-	Model       string
-	Packages    []string
-	AtomicWords []string
-	SchedTags   []string
-}
-
-var fixtureFootprint = Footprint{
-	Model:       "fixture",
-	Packages:    []string{"hydradb/internal/mcfix"},
-	AtomicWords: []string{"hydradb/internal/mcfix.ops", "hydradb/internal/mcfix.gone"},
-}
-
-var _ = fixtureFootprint
+func SchedPoint(tag string) {}
 `,
 	},
 	{
-		name:  "conformance-undeclared-word",
-		path:  "internal/mcfix/mcfix.go",
-		check: "model-conformance",
+		name:  "spec-undeclared-word",
+		path:  "internal/spf7/spf7.go",
+		check: "spec-coverage",
 		want:  1,
-		src: `package mcfix
+		src: `package spf7
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"hydradb/internal/protocolspec"
+)
+
+var spec = protocolspec.Spec{
+	Name:     "spf7",
+	Model:    "fixture",
+	Packages: []string{"hydradb/internal/spf7"},
+	Words: []protocolspec.Word{
+		{Name: "hydradb/internal/spf7.ops", Role: "ready-word", Footprint: true, Writers: []string{"hydradb/internal/spf7.Tick"}},
+	},
+}
+
+var _ = spec
 
 var ops atomic.Uint64
+
 var extra atomic.Uint64
 
+// Tick touches extra, which no covering spec declares: seeded bug.
 func Tick() {
 	ops.Add(1)
 	extra.Add(1)
 }
+`,
+	},
+	{
+		name:  "spec-undeclared-tag",
+		path:  "internal/spf8/spf8.go",
+		check: "spec-coverage",
+		want:  1,
+		src: `package spf8
+
+import (
+	"hydradb/internal/invariant"
+	"hydradb/internal/protocolspec"
+)
+
+var spec = protocolspec.Spec{
+	Name:      "spf8",
+	Model:     "fixture",
+	Packages:  []string{"hydradb/internal/spf8"},
+	SchedTags: []string{"step"},
+}
+
+var _ = spec
+
+// Run yields at "flip", which no covering spec declares: seeded bug.
+func Run() {
+	invariant.SchedPoint("step")
+	invariant.SchedPoint("flip")
+}
+`,
+	},
+	{
+		name:  "spec-nonconstant-tag",
+		path:  "internal/spf9/spf9.go",
+		check: "spec-coverage",
+		want:  1,
+		src: `package spf9
+
+import (
+	"hydradb/internal/invariant"
+	"hydradb/internal/protocolspec"
+)
+
+var spec = protocolspec.Spec{
+	Name:      "spf9",
+	Model:     "fixture",
+	Packages:  []string{"hydradb/internal/spf9"},
+	SchedTags: []string{"step"},
+}
+
+var _ = spec
+
+// Run yields at a computed tag no spec can declare: seeded bug.
+func Run(tag string) {
+	invariant.SchedPoint("step")
+	invariant.SchedPoint(tag)
+}
+`,
+	},
+	{
+		name:  "spec-stale-tag",
+		path:  "internal/spf10/spf10.go",
+		check: "spec-drift",
+		want:  1,
+		src: `package spf10
+
+import (
+	"hydradb/internal/invariant"
+	"hydradb/internal/protocolspec"
+)
+
+// The spec declares "gone", at which nothing yields: seeded bug.
+var spec = protocolspec.Spec{
+	Name:      "spf10",
+	Model:     "fixture",
+	Packages:  []string{"hydradb/internal/spf10"},
+	SchedTags: []string{"step", "gone"},
+}
+
+var _ = spec
+
+func Run() { invariant.SchedPoint("step") }
 `,
 	},
 
@@ -2025,54 +2112,57 @@ func copyRepoGoTree(t *testing.T) string {
 	return dst
 }
 
-// TestFootprintDriftFailsLint desyncs the checked-in modelcheck footprints —
-// renaming the word-area entry the guardian and mailbox models declare — and
-// asserts the model-conformance pass fails the drifted tree in both
-// directions: the real atomic word becomes undeclared, the renamed one stale.
+// TestFootprintDriftFailsLint drifts a spec that feeds a hydramc model in a
+// copy of the repo and asserts the spec engine fails the tree in both
+// directions the generated footprints depend on. The copy renames the
+// mailbox spec's word-area word and drops internal/arena from the guardian
+// spec, so the mailbox spec alone covers the word area: the real word
+// becomes undeclared (spec-coverage) and the renamed one stale
+// (spec-drift), and both findings name the mailbox spec. (The guardian
+// spec's "word" tag is stranded too; that finding is not counted here.)
 func TestFootprintDriftFailsLint(t *testing.T) {
 	root := copyRepoGoTree(t)
-	fp := filepath.Join(root, "internal", "modelcheck", "footprint.go")
-	src, err := os.ReadFile(fp)
-	if err != nil {
-		t.Fatal(err)
+	drift := func(rel, from, to string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drifted := strings.ReplaceAll(string(src), from, to)
+		if drifted == string(src) {
+			t.Fatalf("%s no longer contains %s; update this test's drift target", rel, from)
+		}
+		if err := os.WriteFile(path, []byte(drifted), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const real, bogus = `"hydradb/internal/arena.WordArea.words[]"`, `"hydradb/internal/arena.WordArea.retired[]"`
-	drifted := strings.ReplaceAll(string(src), real, bogus)
-	if drifted == string(src) {
-		t.Fatalf("footprint.go no longer declares %s; update this test's drift target", real)
-	}
-	if err := os.WriteFile(fp, []byte(drifted), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	drift("internal/message/protocol.go",
+		`"hydradb/internal/arena.WordArea.words[]"`, `"hydradb/internal/arena.WordArea.retired[]"`)
+	drift("internal/kv/protocol.go",
+		`[]string{"hydradb/internal/arena", "hydradb/internal/kv"}`, `[]string{"hydradb/internal/kv"}`)
 
-	res, err := RunLint(root, []string{"./..."}, []string{"model-conformance"}, true)
+	res, err := RunLint(root, []string{"./..."}, []string{"spec-coverage", "spec-drift"}, true)
 	if err != nil {
 		t.Fatalf("RunLint on drifted tree: %v", err)
 	}
-	var undeclared, stale, mailbox int
+	var undeclared, stale int
 	for _, d := range res.Diags {
-		if d.Check != "model-conformance" {
-			t.Errorf("unexpected %s finding: %+v", d.Check, d)
+		if d.Spec != "mailbox-ring" {
 			continue
 		}
-		if strings.Contains(d.Msg, "is not declared in any modelcheck footprint") {
+		switch {
+		case d.Check == "spec-coverage" && strings.Contains(d.Msg, "arena.WordArea.words[] in hydradb/internal/arena is not a Footprint word"):
 			undeclared++
-		}
-		if strings.Contains(d.Msg, "the declaration is stale") {
+		case d.Check == "spec-drift" && strings.Contains(d.Msg, "arena.WordArea.retired[], but no loaded package accesses it"):
 			stale++
-		}
-		if strings.Contains(d.Msg, "mailbox") {
-			mailbox++
 		}
 	}
 	if undeclared == 0 {
-		t.Error("drifted footprint produced no undeclared-word finding")
+		t.Errorf("no spec-coverage finding names the mailbox spec for the undeclared word: %v", res.Diags)
 	}
 	if stale == 0 {
-		t.Error("drifted footprint produced no stale-declaration finding")
-	}
-	if mailbox == 0 {
-		t.Error("no finding names the mailbox model whose footprint drifted")
+		t.Errorf("no spec-drift finding names the mailbox spec for the stale word: %v", res.Diags)
 	}
 }
 

@@ -67,14 +67,6 @@
 //	                   constants), and derived from a `hydralint:offset-source`
 //	                   allocator result; `hydralint:aligned <n>` pins word
 //	                   alignment.
-//	model-conformance  whole-program diff of each covered package's atomic
-//	                   footprint — the atomic words it touches and the
-//	                   invariant.SchedPoint tags it declares — against the
-//	                   Footprint declarations shipped by internal/modelcheck.
-//	                   Drift in either direction (an undeclared access, or a
-//	                   stale declaration nothing implements) fails the lint,
-//	                   so the hydramc models provably talk about the code as
-//	                   written.
 //	spec-order         the happens-before edges declared in protocolspec.Spec
 //	                   literals hold on every code path. The
 //	                   payload-before-release leg is the out-of-place PUT
@@ -92,8 +84,15 @@
 //	                   declares must be sanctioned — by a Writers entry, a
 //	                   covering apply edge, a publish/unpublish constant, or
 //	                   a publishes/unpublishes function the flow pass orders.
-//	spec-drift         a spec may only name atomic words, functions, marker
-//	                   constants, edge kinds, and hydramc footprints that
+//	                   A package listed by a spec that feeds a hydramc model
+//	                   is covered: every atomic word it touches must be a
+//	                   Footprint word of a covering spec, and every
+//	                   invariant.SchedPoint tag it yields at must be a
+//	                   constant its covering specs declare — so the models,
+//	                   whose footprints are generated from the specs, see
+//	                   the code's whole interleaving surface.
+//	spec-drift         a spec may only name atomic words, SchedPoint tags,
+//	                   functions, marker constants, and edge kinds that
 //	                   still exist; a declaration nothing implements fails
 //	                   the lint (specs must not rot).
 //	spec-guard         the declared torn-read guards still compare against

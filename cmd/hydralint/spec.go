@@ -6,14 +6,16 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
 // The spec-driven verification engine. Packages declare their lock-free
 // publication protocols as protocolspec.Spec literals (pure Go literals,
-// parsed statically like modelcheck.Footprint); this engine checks the
-// declarations against the real code on the def-use/summary layer and
-// splits its findings across four checks:
+// parsed statically); this engine checks the declarations against the
+// real code on the def-use/summary layer and splits its findings across
+// four checks:
 //
 //	spec-order     the declared happens-before edges hold on every code
 //	               path: the payload-before-release flow pass (allocation
@@ -23,10 +25,13 @@ import (
 //	spec-coverage  every atomic store to a spec'd word is sanctioned — a
 //	               Writers entry, a covering apply edge, or a
 //	               publish/unpublish constant / publishes function the
-//	               flow pass orders
-//	spec-drift     the spec names only words, functions, markers, and
-//	               hydramc footprints that still exist (a spec that rots
-//	               is worse than no spec)
+//	               flow pass orders — and every atomic word and
+//	               SchedPoint tag in a covered package (one a spec
+//	               feeding a hydramc model lists) is declared by a
+//	               covering spec, so the models see the whole surface
+//	spec-drift     the spec names only words, SchedPoint tags,
+//	               functions, and markers that still exist (a spec
+//	               that rots is worse than no spec)
 //	spec-guard     the declared torn-read guards still compare against
 //	               their bound, and reclaimers call their quiescence gate
 //	               before any free
@@ -111,6 +116,9 @@ type specModel struct {
 	// pkgSpec attributes flow findings: import path -> first covering
 	// spec name ("" for marker-only packages).
 	pkgSpec map[string]string
+	// covering maps each covered import path — one listed in the
+	// Packages of a spec that feeds a hydramc model — to those specs.
+	covering map[string][]*specDecl
 }
 
 func (sm *specModel) add(p *Package, pos token.Pos, check, spec, format string, args ...any) {
@@ -128,11 +136,12 @@ func specModelFor(prog *Program) *specModel {
 		writers:      map[string]map[string]bool{},
 		leaseWriters: map[string]bool{},
 		pkgSpec:      map[string]string{},
+		covering:     map[string][]*specDecl{},
 	}
 	prog.specModel = sm
 	sm.parse(prog)
-	accessed, stores := sm.sweep(prog)
-	sm.checkDrift(prog, accessed)
+	accessed, yields, stores := sm.sweep(prog)
+	sm.checkDrift(prog, accessed, yields)
 	sm.checkCoverage(prog, stores)
 	sm.checkGuards(prog)
 	sm.checkReclaims(prog)
@@ -211,6 +220,9 @@ func (sm *specModel) parse(prog *Program) {
 		for _, path := range d.pkgs {
 			if _, taken := sm.pkgSpec[path]; !taken {
 				sm.pkgSpec[path] = d.name
+			}
+			if d.model != "" {
+				sm.covering[path] = append(sm.covering[path], d)
 			}
 		}
 	}
@@ -413,16 +425,24 @@ type specStore struct {
 }
 
 // sweep walks every loaded package's production files once, collecting the
-// set of nominal atomic words actually accessed (drift's existence oracle)
-// and every write into a spec'd word (coverage's work list).
-func (sm *specModel) sweep(prog *Program) (accessed map[string]bool, stores []specStore) {
+// set of nominal atomic words actually accessed (drift's existence oracle),
+// the SchedPoint tags each covered package yields at, and every write into
+// a spec'd word (coverage's work list). Words and tags in covered packages
+// that no covering spec declares are reported on the way.
+func (sm *specModel) sweep(prog *Program) (accessed map[string]bool, yields map[string]map[string]bool, stores []specStore) {
 	accessed = map[string]bool{}
+	yields = map[string]map[string]bool{}
 	seen := map[string]bool{}
 	for _, p := range prog.Pkgs {
 		if seen[p.ImportPath] {
 			continue
 		}
 		seen[p.ImportPath] = true
+		covered := sm.covering[p.ImportPath] != nil
+		words, tags := map[string]bool{}, map[string]bool{}
+		if covered {
+			yields[p.ImportPath] = tags
+		}
 		for _, f := range p.Files {
 			if p.isTestFile(f) {
 				continue
@@ -441,9 +461,20 @@ func (sm *specModel) sweep(prog *Program) (accessed map[string]bool, stores []sp
 					}
 					id, pos, ok := atomicAccessWord(p, call)
 					if !ok {
+						if covered {
+							sm.sweepSchedPoint(prog, p, call, tags)
+						}
 						return true
 					}
 					accessed[id] = true
+					if covered && !words[id] {
+						words[id] = true
+						if !slices.ContainsFunc(sm.covering[p.ImportPath], func(d *specDecl) bool { return d.declaresFootprintWord(id) }) {
+							sm.add(p, pos, "spec-coverage", sm.pkgSpec[p.ImportPath],
+								"atomic word %s in %s is not a Footprint word of any covering spec (%s); declare it in the owning spec so its hydramc model covers it",
+								id, p.ImportPath, sm.coveringNames(p.ImportPath))
+						}
+					}
 					if len(sm.wordDecls[id]) > 0 && atomicOpWrites(call) {
 						stores = append(stores, specStore{p: p, call: call, pos: pos, word: id, enclosing: full})
 					}
@@ -452,7 +483,101 @@ func (sm *specModel) sweep(prog *Program) (accessed map[string]bool, stores []sp
 			}
 		}
 	}
-	return accessed, stores
+	return accessed, yields, stores
+}
+
+// sweepSchedPoint records the tag of an invariant.SchedPoint call in a
+// covered package, reporting a tag that is not a constant or that no
+// covering spec declares.
+func (sm *specModel) sweepSchedPoint(prog *Program, p *Package, call *ast.CallExpr, tags map[string]bool) {
+	tag, pos, ok, bad := schedPointTag(prog, p, call)
+	if !ok {
+		return
+	}
+	if bad {
+		sm.add(p, pos, "spec-coverage", sm.pkgSpec[p.ImportPath],
+			"invariant.SchedPoint tag must be a constant string so the covering specs' SchedTags can be checked statically")
+		return
+	}
+	if tags[tag] {
+		return
+	}
+	tags[tag] = true
+	if !slices.ContainsFunc(sm.covering[p.ImportPath], func(d *specDecl) bool { return slices.Contains(d.tags, tag) }) {
+		sm.add(p, pos, "spec-coverage", sm.pkgSpec[p.ImportPath],
+			"SchedPoint tag %q in %s is not declared by any covering spec (%s); add it to the owning spec's SchedTags",
+			tag, p.ImportPath, sm.coveringNames(p.ImportPath))
+	}
+}
+
+func (d *specDecl) declaresFootprintWord(id string) bool {
+	return slices.ContainsFunc(d.words, func(w *specWordDecl) bool { return w.footprint && w.name == id })
+}
+
+func (sm *specModel) coveringNames(path string) string {
+	var names []string
+	for _, d := range sm.covering[path] {
+		names = append(names, d.name)
+	}
+	return strings.Join(names, ", ")
+}
+
+// atomicAccessWord resolves one call to a nominal atomic-word access: either
+// a sync/atomic package call (atomic.StoreUint64(&x.f, v)) or a method on a
+// sync/atomic type (x.f.Store(v)). Locals and unnameable words resolve false
+// — they are not cross-thread state a spec could cover.
+func atomicAccessWord(p *Package, call *ast.CallExpr) (string, token.Pos, bool) {
+	if isAtomicPkgCall(p, call) && len(call.Args) > 0 {
+		if id, ok := mixedWordID(p, addrOperand(call.Args[0])); ok {
+			return id, call.Pos(), true
+		}
+		return "", token.NoPos, false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", token.NoPos, false
+	}
+	s, ok := p.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return "", token.NoPos, false
+	}
+	recv := s.Recv()
+	if ptr, isPtr := recv.Underlying().(*types.Pointer); isPtr {
+		recv = ptr.Elem()
+	}
+	named, ok := types.Unalias(recv).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic" {
+		return "", token.NoPos, false
+	}
+	if id, ok := mixedWordID(p, sel.X); ok {
+		return id, call.Pos(), true
+	}
+	return "", token.NoPos, false
+}
+
+// schedPointTag recognizes invariant.SchedPoint calls; bad is set when the
+// tag argument is not a constant string.
+func schedPointTag(prog *Program, p *Package, call *ast.CallExpr) (tag string, pos token.Pos, ok, bad bool) {
+	callee, _, resolved := prog.resolveCallee(p, call)
+	if !resolved || callee.Obj.FullName() != "hydradb/internal/invariant.SchedPoint" {
+		return "", token.NoPos, false, false
+	}
+	if len(call.Args) != 1 {
+		return "", call.Pos(), true, true
+	}
+	s, isConst := constString(p, call.Args[0])
+	if !isConst {
+		return "", call.Args[0].Pos(), true, true
+	}
+	return s, call.Pos(), true, false
+}
+
+func constString(p *Package, e ast.Expr) (string, bool) {
+	tv, ok := p.Info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return "", false
+	}
+	return constant.StringVal(tv.Value), true
 }
 
 // ---------------------------------------------------------------------------
@@ -495,17 +620,12 @@ func (sm *specModel) checkFunc(prog *Program, loaded map[string]bool, d *specDec
 	}
 }
 
-func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool) {
+func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool, yields map[string]map[string]bool) {
 	loaded := map[string]bool{}
-	modelcheckLoaded := false
 	for _, p := range prog.Pkgs {
 		loaded[p.ImportPath] = true
-		if p.RelPath == "internal/modelcheck" {
-			modelcheckLoaded = true
-		}
 	}
 	m := prog.markersFor()
-	fps := parseFootprints(prog)
 
 	for _, d := range sm.specs {
 		declared := map[string]*specWordDecl{}
@@ -570,37 +690,19 @@ func (sm *specModel) checkDrift(prog *Program, accessed map[string]bool) {
 			}
 		}
 
-		// The generation loop's static side: a spec that feeds a hydramc
-		// model must agree with the checked-in footprint.go (whose own
-		// agreement with the generated footprints a modelcheck test and
-		// `hydramc -footprints` enforce).
-		if d.model == "" || !modelcheckLoaded {
-			continue
-		}
-		var fp *fpDecl
-		for _, cand := range fps.decls {
-			if cand.model == d.model {
-				fp = cand
-			}
-		}
-		if fp == nil {
-			sm.add(d.p, d.pos, "spec-drift", d.name,
-				"spec %s feeds hydramc model %q, but internal/modelcheck declares no footprint for it", d.name, d.model)
-			continue
-		}
-		for _, w := range d.words {
-			if !w.footprint {
-				continue
-			}
-			if _, ok := fp.words[w.name]; !ok {
-				sm.add(d.p, w.pos, "spec-drift", d.name,
-					"spec %s marks word %s for the %q footprint, but footprint.go does not declare it; regenerate (hydramc -footprints)", d.name, w.name, d.model)
+		// A declared SchedTag must still be yielded at by one of the
+		// spec's covered packages (judged once one of them is loaded).
+		judged, yielded := false, map[string]bool{}
+		for _, path := range d.pkgs {
+			if tags, ok := yields[path]; ok {
+				judged = true
+				maps.Copy(yielded, tags)
 			}
 		}
 		for _, tag := range d.tags {
-			if _, ok := fp.tags[tag]; !ok {
+			if judged && !yielded[tag] {
 				sm.add(d.p, d.pos, "spec-drift", d.name,
-					"spec %s declares SchedPoint tag %q for model %q, but footprint.go does not; regenerate (hydramc -footprints)", d.name, tag, d.model)
+					"spec %s declares SchedPoint tag %q, but no covered package yields at it; the declaration is stale", d.name, tag)
 			}
 		}
 	}

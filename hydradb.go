@@ -32,7 +32,6 @@
 package hydradb
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -148,9 +147,6 @@ func Start(opts Options) (*DB, error) {
 	clk := opts.Clock
 	if clk == nil {
 		clk = timing.NewRealClock()
-	}
-	if opts.Replicas >= opts.ServerMachines && opts.Replicas > 0 && opts.ServerMachines == 1 {
-		return nil, errors.New("hydradb: replicas require at least 2 server machines")
 	}
 	cl, err := cluster.New(cluster.Config{
 		ServerMachines:    opts.ServerMachines,

@@ -33,11 +33,33 @@ func TestStartDefaults(t *testing.T) {
 	}
 }
 
+// TestReplicasRequireMachines pins the replica placement rule: every
+// secondary needs a server machine other than its primary's, so Start
+// rejects Replicas >= ServerMachines (and a negative count).
 func TestReplicasRequireMachines(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Replicas = 1 // with 1 server machine
-	if _, err := Start(opts); err == nil {
-		t.Fatal("invalid topology accepted")
+	for _, tc := range []struct {
+		servers, replicas int
+		ok                bool
+	}{
+		{servers: 1, replicas: 1},
+		{servers: 2, replicas: 2},
+		{servers: 3, replicas: 3},
+		{servers: 2, replicas: -1},
+		{servers: 3, replicas: 2, ok: true},
+	} {
+		opts := DefaultOptions()
+		opts.ServerMachines = tc.servers
+		opts.ShardsPerMachine = 1
+		opts.Replicas = tc.replicas
+		opts.ArenaBytesPerShard = 1 << 20
+		opts.MaxItemsPerShard = 1024
+		db, err := Start(opts)
+		if err == nil {
+			db.Close()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("servers=%d replicas=%d: err = %v, want ok=%v", tc.servers, tc.replicas, err, tc.ok)
+		}
 	}
 }
 

@@ -129,9 +129,18 @@ type Cluster struct {
 
 const livePath = "/hydra/live"
 
-// New builds and starts a cluster.
+// New builds and starts a cluster. Each secondary of a group must sit on
+// a machine other than its primary's and its sibling secondaries' (§5.1),
+// so Replicas must stay below ServerMachines.
 func New(cfg Config) (*Cluster, error) {
 	c := cfg.withDefaults()
+	if c.Replicas < 0 {
+		return nil, fmt.Errorf("cluster: negative replica count %d", c.Replicas)
+	}
+	if c.Replicas > 0 && c.Replicas >= c.ServerMachines {
+		return nil, fmt.Errorf("cluster: %d replicas need at least %d server machines, have %d",
+			c.Replicas, c.Replicas+1, c.ServerMachines)
+	}
 	cl := &Cluster{
 		cfg:       c,
 		clock:     c.Store.Clock,

@@ -2,11 +2,11 @@ package modelcheck
 
 import "testing"
 
-// TestFootprintsMatchModels pins the name pairing between the declared
-// coverage table and the model registry: every footprint belongs to a
-// registered model and every model declares its footprint. hydralint's
-// model-conformance pass checks the *contents* (atomic words, sched tags);
-// this test checks the index.
+// TestFootprintsMatchModels pins the name pairing between the
+// spec-generated footprints and the model registry: every footprint
+// belongs to a registered model and every model has at least one spec
+// feeding it. hydralint's spec engine checks the *contents* (atomic
+// words, sched tags) against the code; this test checks the index.
 func TestFootprintsMatchModels(t *testing.T) {
 	models := map[string]bool{}
 	for _, m := range Models() {
@@ -31,7 +31,7 @@ func TestFootprintsMatchModels(t *testing.T) {
 	}
 	for name := range models {
 		if !declared[name] {
-			t.Errorf("model %q has no declared footprint; add one to footprints", name)
+			t.Errorf("model %q has no footprint; no protocolspec.Spec names it as its Model", name)
 		}
 	}
 }

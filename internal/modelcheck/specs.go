@@ -12,12 +12,27 @@ import (
 	"hydradb/internal/replication"
 )
 
-// Specs returns every declared publication-protocol spec, in the order
-// their models appear in footprint.go (a model fed by several specs —
-// readerplane — lists them consecutively, primary first). hydralint
-// parses the same Spec literals statically; this runtime view exists so
-// the footprints can be *generated* from the specs and diffed against
-// the hand-written table, closing the lint <-> model-checker loop.
+// Footprint is the atomic surface one model covers: which packages it is
+// the model of, which nominal atomic words those packages may touch, and
+// which invariant.SchedPoint tags they may yield at. Footprints are never
+// written by hand; Footprints derives them from the protocolspec.Spec
+// declarations, which hydralint's spec engine checks against the code.
+//
+// Word identities use hydralint's nominal form: "pkgpath.Type.field" for
+// struct fields ("[]" appended per indexing level) and "pkgpath.var" for
+// package-level variables.
+type Footprint struct {
+	Model       string   // Model.Name this footprint belongs to
+	Packages    []string // import paths of the code the model covers
+	AtomicWords []string // nominal word ids the covered packages may access
+	SchedTags   []string // invariant.SchedPoint tags the covered code may hit
+}
+
+// Specs returns every declared publication-protocol spec, grouped by the
+// model each feeds (a model fed by several specs — readerplane — lists
+// them consecutively, primary first). hydralint parses the same Spec
+// literals statically; this runtime view exists so the model footprints
+// can be generated from them.
 func Specs() []protocolspec.Spec {
 	return []protocolspec.Spec{
 		kv.GuardianSpec,
@@ -29,13 +44,10 @@ func Specs() []protocolspec.Spec {
 	}
 }
 
-// GeneratedFootprints derives each model's Footprint from the specs:
-// packages, Footprint-marked words, and SchedTags accumulate in
-// first-seen order across the specs feeding one model.
-// TestGeneratedFootprintsMatchHandWritten and `hydramc -footprints`
-// require the result to match footprint.go byte-for-byte under
-// RenderFootprint, so neither table can drift from the other.
-func GeneratedFootprints() []Footprint {
+// Footprints derives each model's Footprint from the specs: packages,
+// Footprint-marked words, and SchedTags accumulate in first-seen order
+// across the specs feeding one model.
+func Footprints() []Footprint {
 	var order []string
 	byModel := map[string]*Footprint{}
 	for _, s := range Specs() {
@@ -44,12 +56,7 @@ func GeneratedFootprints() []Footprint {
 		}
 		fp := byModel[s.Model]
 		if fp == nil {
-			// Built field-by-field, not as a composite literal: hydralint
-			// statically parses every Footprint literal in this package as a
-			// declaration, and this one's fields are runtime values.
-			fp = new(Footprint)
-			fp.Model = s.Model
-			fp.Packages, fp.AtomicWords, fp.SchedTags = []string{}, []string{}, []string{}
+			fp = &Footprint{Model: s.Model, Packages: []string{}, AtomicWords: []string{}, SchedTags: []string{}}
 			byModel[s.Model] = fp
 			order = append(order, s.Model)
 		}
@@ -81,9 +88,8 @@ func appendUnique(dst *[]string, s string) {
 	*dst = append(*dst, s)
 }
 
-// RenderFootprint is the canonical one-line rendering the generated/
-// hand-written diff compares byte-for-byte. nil and empty slices render
-// identically, so only real content differences fail the diff.
+// RenderFootprint is the canonical one-line rendering `hydramc
+// -footprints` prints. nil and empty slices render identically.
 func RenderFootprint(fp Footprint) string {
 	return fmt.Sprintf("model=%s packages=[%s] words=[%s] tags=[%s]",
 		fp.Model,

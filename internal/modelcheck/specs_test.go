@@ -2,26 +2,6 @@ package modelcheck
 
 import "testing"
 
-// TestGeneratedFootprintsMatchHandWritten is the generation loop's
-// runtime side: the footprints derived from the protocolspec.Spec
-// declarations must match the hand-written footprint.go table
-// byte-for-byte (under the canonical rendering). hydralint's spec-drift
-// pass enforces the static side of the same agreement, and
-// `hydramc -footprints` exposes the diff on the command line.
-func TestGeneratedFootprintsMatchHandWritten(t *testing.T) {
-	gen := GeneratedFootprints()
-	hand := Footprints()
-	if len(gen) != len(hand) {
-		t.Fatalf("generated %d footprints, footprint.go declares %d", len(gen), len(hand))
-	}
-	for i := range gen {
-		g, h := RenderFootprint(gen[i]), RenderFootprint(hand[i])
-		if g != h {
-			t.Errorf("footprint %d drifted:\n  generated:    %s\n  hand-written: %s\n(regenerate with `hydramc -footprints` and update footprint.go or the owning spec)", i, g, h)
-		}
-	}
-}
-
 // TestSpecsDeclareKnownModels pins that every spec's Model matches a
 // registered model, so a renamed model cannot silently detach its spec.
 func TestSpecsDeclareKnownModels(t *testing.T) {

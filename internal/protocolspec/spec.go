@@ -9,19 +9,19 @@
 //
 // A Spec is consumed twice:
 //
-//   - cmd/hydralint parses Spec literals statically (the same way it
-//     parses modelcheck.Footprint literals) and drives the generic
-//     spec verification engine off them: the spec-order pass proves
-//     the declared edges hold on every code path, spec-coverage flags
-//     atomic stores to spec'd words that no edge or Writers entry
-//     sanctions, spec-drift flags declarations that no longer match
-//     the code, and spec-guard re-proves the torn-read guards and
-//     reclamation gates.
+//   - cmd/hydralint parses Spec literals statically and drives the
+//     generic spec verification engine off them: the spec-order pass
+//     proves the declared edges hold on every code path, spec-coverage
+//     flags atomic stores to spec'd words that no edge or Writers entry
+//     sanctions and any atomic word or SchedPoint tag in a model's
+//     covered packages that its specs do not declare, spec-drift flags
+//     declarations that no longer match the code, and spec-guard
+//     re-proves the torn-read guards and reclamation gates.
 //   - internal/modelcheck consumes the same Specs at runtime to
 //     generate each hydramc model's Footprint (and its SchedPoint tag
-//     skeleton); a test and `hydramc -footprints` diff the generated
-//     footprints against the hand-written ones byte-for-byte, so the
-//     linter, the model checker, and the code cannot drift apart.
+//     skeleton, printed by `hydramc -footprints`). The specs are the
+//     only declaration of each model's atomic surface, so the linter,
+//     the model checker, and the code cannot drift apart.
 //
 // Specs must be pure literals — string constants, bool literals, and
 // nested composite literals only — because the linter evaluates them

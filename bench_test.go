@@ -356,3 +356,101 @@ func BenchmarkLiveGet_ReadPlane(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLiveReadPlaneMixed measures the fallback hand-off of the read
+// plane on its own: two clients send one Put per 16 Gets over a 4096-key
+// set, message path only, so about one request in 17 falls back to the
+// shard loop, as on the YCSB mixes. readers=0 is the exclusive shard loop
+// serving the same mix. With readers on, the run fails unless the read
+// plane served requests and some fell back.
+func BenchmarkLiveReadPlaneMixed(b *testing.B) {
+	const (
+		clients  = 2
+		nKeys    = 4096
+		putEvery = 17 // one Put, then 16 Gets
+	)
+	for _, readers := range []int{0, 1} {
+		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
+			opts := hydradb.DefaultOptions()
+			opts.ShardsPerMachine = 1
+			opts.DisableRDMARead = true // "RDMA Write Only" mode
+			// Every Put detaches a leased version: size for all of them.
+			opts.MaxItemsPerShard = nKeys + b.N/16 + putEvery*clients + 1<<12
+			opts.ArenaBytesPerShard = opts.MaxItemsPerShard * 128
+			opts.ReaderThreads = readers
+			db, err := hydradb.Start(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(db.Close)
+			keys := make([][]byte, nKeys)
+			val := make([]byte, 32)
+			loader := db.NewClient()
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("mixkey%010d", i))
+				if err := loader.Put(keys[i], val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before := db.Stats()
+			// op j of client c: a Put on every putEvery-th op, else a Get,
+			// each client walking its own half of the key set.
+			run := func(c *hydradb.Client, id, from, to int) error {
+				var buf []byte
+				for j := from; j < to; j++ {
+					key := keys[(id*nKeys/clients+j)%nKeys]
+					if j%putEvery == 0 {
+						if err := c.Put(key, val); err != nil {
+							return err
+						}
+						continue
+					}
+					var err error
+					if buf, err = c.GetInto(key, buf[:0]); err != nil {
+						return err
+					}
+					if len(buf) != len(val) {
+						return fmt.Errorf("get %s: %d bytes", key, len(buf))
+					}
+				}
+				return nil
+			}
+			// One untimed round per client opens its connection and puts
+			// both planes to work whatever b.N is.
+			cs := make([]*hydradb.Client, clients)
+			for i := range cs {
+				cs[i] = db.NewClient()
+				if err := run(cs[i], i, 0, putEvery); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i := range cs {
+				n := b.N / clients
+				if i == 0 {
+					n += b.N % clients
+				}
+				wg.Add(1)
+				go func(c *hydradb.Client, id, n int) {
+					defer wg.Done()
+					if err := run(c, id, putEvery, putEvery+n); err != nil {
+						b.Error(err)
+					}
+				}(cs[i], i, n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			if readers > 0 {
+				after := db.Stats()
+				if after.ReadPlaneHits == before.ReadPlaneHits {
+					b.Fatal("the read plane served no request")
+				}
+				if after.ReadPlaneFallbacks == before.ReadPlaneFallbacks {
+					b.Fatal("no request fell back to the shard loop")
+				}
+			}
+		})
+	}
+}

@@ -77,7 +77,8 @@ type Options struct {
 	// ReaderThreads > 0 gives every shard a parallel read plane: that many
 	// reader goroutines serve message-path GETs concurrently with
 	// guardian-validated probes while mutations stay on the shard loop
-	// (DESIGN.md §13). 0 keeps the paper's single-goroutine shard.
+	// (DESIGN.md §13). 0 keeps the paper's single-goroutine shard. Start
+	// rejects a negative count and ReaderThreads > 0 with Pipelined.
 	ReaderThreads int
 	// SharedPointerCache lets collocated clients share remote pointers
 	// through a lock-free cache (§4.2.4). Disable for isolated caches.

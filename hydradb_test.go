@@ -63,6 +63,37 @@ func TestReplicasRequireMachines(t *testing.T) {
 	}
 }
 
+// TestReaderThreadsValidated pins that Start rejects a negative reader
+// count and a read plane combined with the pipelined shard model, whose loop
+// never starts readers.
+func TestReaderThreadsValidated(t *testing.T) {
+	for _, tc := range []struct {
+		readers   int
+		pipelined bool
+		ok        bool
+	}{
+		{readers: -1},
+		{readers: 2, pipelined: true},
+		{readers: 0, pipelined: true, ok: true},
+		{readers: 2, ok: true},
+	} {
+		opts := DefaultOptions()
+		opts.ServerMachines = 1
+		opts.ShardsPerMachine = 1
+		opts.ReaderThreads = tc.readers
+		opts.Pipelined = tc.pipelined
+		opts.ArenaBytesPerShard = 1 << 20
+		opts.MaxItemsPerShard = 1024
+		db, err := Start(opts)
+		if err == nil {
+			db.Close()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("readers=%d pipelined=%v: err = %v, want ok=%v", tc.readers, tc.pipelined, err, tc.ok)
+		}
+	}
+}
+
 func TestEndToEndFailover(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ServerMachines = 2

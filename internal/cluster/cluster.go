@@ -56,7 +56,8 @@ type Config struct {
 	// Pipelined runs shards under the decoupled execution model (§6.2.1).
 	Pipelined bool
 	// ReaderThreads > 0 gives every primary shard a parallel read plane of
-	// that many reader goroutines (DESIGN.md §13).
+	// that many reader goroutines (DESIGN.md §13). It may not be combined
+	// with Pipelined.
 	ReaderThreads int
 }
 
@@ -140,6 +141,14 @@ func New(cfg Config) (*Cluster, error) {
 	if c.Replicas > 0 && c.Replicas >= c.ServerMachines {
 		return nil, fmt.Errorf("cluster: %d replicas need at least %d server machines, have %d",
 			c.Replicas, c.Replicas+1, c.ServerMachines)
+	}
+	if c.ReaderThreads < 0 {
+		return nil, fmt.Errorf("cluster: negative reader thread count %d", c.ReaderThreads)
+	}
+	if c.Pipelined && c.ReaderThreads > 0 {
+		// The pipelined loop never starts readers: the combination would
+		// silently run without a read plane.
+		return nil, fmt.Errorf("cluster: Pipelined and ReaderThreads=%d are mutually exclusive", c.ReaderThreads)
 	}
 	cl := &Cluster{
 		cfg:       c,

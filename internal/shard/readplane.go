@@ -4,7 +4,10 @@
 // probes (kv.ProbeGet), plus definitive OpRenewLease rejections. Everything
 // else — mutations, chained buckets, torn probes, lease renewals — is handed
 // to the shard loop over a synchronous channel, so the store keeps exactly
-// one mutator and the §4.1.1 ownership discipline holds.
+// one mutator and the §4.1.1 ownership discipline holds. The shard loop
+// polls nothing in this mode: it blocks on the fallback channel, Stop and a
+// reclaim ticker of period NapMaxNs, so a fallback wakes it at once and an
+// idle loop still reclaims. Only the readers poll, with idleBackoff.
 //
 // Ordering guarantee: connection i belongs to reader i%N, and that reader
 // writes every response for its connections — including fallback responses,
@@ -16,6 +19,7 @@ package shard
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"hydradb/internal/invariant"
 	"hydradb/internal/kv"
@@ -61,7 +65,11 @@ func (s *Shard) runReadPlane() {
 		close(readersDone)
 	}()
 
-	back := s.newBackoff()
+	// Nothing to poll: block until a fallback arrives, so the reader (and
+	// every connection it owns) never waits out an idle nap. The ticker
+	// bounds how long an idle loop goes without reclaiming.
+	reclaim := time.NewTicker(time.Duration(s.cfg.NapMaxNs))
+	defer reclaim.Stop()
 	handledSinceReclaim := 0
 	for {
 		select {
@@ -86,11 +94,8 @@ func (s *Shard) runReadPlane() {
 				s.store.ReclaimDue()
 				handledSinceReclaim = 0
 			}
-			back.reset()
-		default:
-			if back.idle() {
-				s.store.ReclaimDue()
-			}
+		case <-reclaim.C:
+			s.store.ReclaimDue()
 		}
 	}
 }

@@ -226,6 +226,67 @@ func TestReadPlaneStress(t *testing.T) {
 	}
 }
 
+// TestReadPlaneReclaimsWithoutFallbacks pins the idle housekeeping of the
+// event-driven read-plane owner: with no fallback traffic to count towards
+// ReclaimEvery, the reclaim ticker alone must free a detached version once
+// its lease lapses, and Stop must still wake the blocked loop.
+func TestReadPlaneReclaimsWithoutFallbacks(t *testing.T) {
+	clk := timing.NewManualClock(1e9)
+	f := rdma.NewFabric(rdma.Config{})
+	sh := New(Config{
+		ID:            9,
+		NIC:           f.NewNIC("server"),
+		ReaderThreads: 1,
+		Store: kv.Config{
+			ArenaBytes: 1 << 20,
+			MaxItems:   4096,
+			Policy:     lease.Policy{BaseTermNs: 1e6, MaxShift: 1, GraceNs: 1e6, DecayEpochNs: 1e9},
+			Clock:      clk,
+		},
+	})
+	go sh.Run()
+	stopped := false
+	defer func() {
+		if !stopped {
+			sh.Stop()
+		}
+	}()
+	ep := sh.Connect(f.NewNIC("client"), false)
+
+	// The second Put detaches the first version; no traffic follows.
+	exchange(t, ep, message.Request{Op: message.OpPut, Seq: 1, Key: []byte("k"), Val: []byte("v1")})
+	exchange(t, ep, message.Request{Op: message.OpPut, Seq: 2, Key: []byte("k"), Val: []byte("v2")})
+	if n := sh.Store().PendingReclaims(); n != 1 {
+		t.Fatalf("pending reclaims after overwrite = %d, want 1", n)
+	}
+	clk.Advance(1e9) // far past lease expiry plus grace
+
+	deadline := time.Now().Add(5 * time.Second)
+	for sh.Counters.Reclaims.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("idle read-plane owner never reclaimed the detached version")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The Reclaims increment follows the free pass, so this read is ordered
+	// after it.
+	if n := sh.Store().PendingReclaims(); n != 0 {
+		t.Fatalf("pending reclaims after idle reclaim = %d, want 0", n)
+	}
+
+	stopped = true // a hung Stop must not be called again by the defer
+	done := make(chan struct{})
+	go func() {
+		sh.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop on the idle read-plane owner did not return")
+	}
+}
+
 // TestIdleBackoffStateMachine pins the satellite-2 backoff shape: spin phase
 // for IdleSpins rounds, then naps doubling from NapNs to the NapMaxNs cap,
 // and full reset on progress.

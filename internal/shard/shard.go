@@ -9,6 +9,10 @@
 // off with a short sleep so light workloads impose negligible CPU cost
 // without sacrificing latency (§4.2.1).
 //
+// With Config.ReaderThreads > 0 the read plane (readplane.go) moves the
+// polling to reader goroutines; the shard loop then only serves their
+// fallbacks and reclamation, blocking between them instead of backing off.
+//
 // The package also provides the decoupled pipelined variant (dispatcher
 // threads + worker threads sharing the store under a mutex) used purely as
 // the ablation baseline of §6.2.1/Fig. 5(a).
@@ -51,6 +55,8 @@ type Config struct {
 	NapNs int64
 	// NapMaxNs caps the exponential idle nap (default 1 ms): the worst-case
 	// pickup delay for a fresh request arriving after a long idle period.
+	// In read-plane mode it is also the period of the shard loop's reclaim
+	// ticker, the bound on how long an idle loop goes without reclaiming.
 	NapMaxNs int64
 	// ReaderThreads enables the parallel read plane: that many reader
 	// goroutines serve OpGet (and definitive OpRenewLease rejections)
